@@ -32,7 +32,7 @@ use crate::gen::{Class, Plan, Request, Workload, KB_SCALE, KB_SEED};
 use crate::run::Timed;
 
 /// Set-ups per run: `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 5;
 
 /// The end-to-end metrics `BENCHMARK.json` bounds (`--trace 0`).
 const END_TO_END: [&str; 7] = [
@@ -214,7 +214,12 @@ fn measure(
         stats: [run::server_stats(&mut server.clients[0])?; 2],
         pool: [run::pool_counters(); 2],
     };
+    let cpu_before = run::cpu_ticks();
     let timed = run::drive(&mut server, plan, args.seconds, expected);
+    if let (Some((s0, t0)), Some((s1, t1))) = (cpu_before, run::cpu_ticks()) {
+        let stolen = 100.0 * s1.saturating_sub(s0) as f64 / t1.saturating_sub(t0).max(1) as f64;
+        println!("# host: {stolen:.1}% of CPU time stolen during the timed window");
+    }
     obs.peak_rss_mb = timed.peak_rss_mb;
     obs.pool[1] = run::pool_counters();
     obs.stats[1] = run::server_stats(&mut server.clients[0])?;

@@ -513,6 +513,25 @@ const SEGMENT_S: f64 = 1.0;
 /// is not resident).
 const SAMPLE_RESERVE: usize = 1 << 23;
 
+/// Host CPU time so far as `(stolen, total)` clock ticks, from the first
+/// line of `/proc/stat`. Stolen time is time a virtual CPU was ready but
+/// the hypervisor ran something else. On a shared host it is one cause of
+/// run-to-run drift, so runs report it next to their metrics.
+pub fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|t| t.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal [guest guest_nice];
+    // guest time is already part of user time.
+    let total = ticks.iter().take(8).sum();
+    Some((*ticks.get(7)?, total))
+}
+
 /// Peak resident memory since the last reset, in MiB.
 pub fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
